@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-all bench-smoke bench-harness bench-epoch bench-live bench-storage bench-pr10 bench-storage-smoke epoch-smoke chaos chaos-nodes chaos-restart verify
+.PHONY: build test bench bench-all bench-smoke bench-harness bench-epoch bench-live bench-storage bench-pr10 bench-storage-smoke perfbench-smoke epoch-smoke chaos chaos-nodes chaos-restart verify
 
 build:
 	$(GO) build ./...
@@ -88,7 +88,7 @@ bench-live:
 # scans) and the heap-backed controller — so the document shows both
 # what the pool buys on scans and what real page I/O costs the
 # controller.
-PR9_BENCH := BenchmarkStorageScan|BenchmarkStorageInsert
+PR9_BENCH := BenchmarkStorageScanCount|BenchmarkStorageScanTuples|BenchmarkStorageInsert
 PR9_PKGS  := ./internal/storage/
 
 bench-storage:
@@ -145,6 +145,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^($(PR8_BENCH))$$' -benchtime 1x $(PR8_PKGS)
 	$(GO) test -run '^$$' -bench '^($(PR9_BENCH))$$' -benchtime 1x $(PR9_PKGS)
 
+# perfbench-smoke runs the repository benchmark's own test (its own Go
+# module under perfbench/, see perfbench/NOTES.md): every workload at a
+# tiny size, checking that each metric BENCHMARK.json names is reported
+# and every correctness gate passes.
+perfbench-smoke:
+	$(GO) -C perfbench test ./...
+
 # chaos runs the fault-injection suites (docs/ROBUSTNESS.md) under the
 # race detector: the simulator's 100-seed × scheduler matrix (including
 # the 100-seed epoch-window run, TestChaosEpoch), the live controller's
@@ -175,7 +182,7 @@ chaos-restart:
 	$(GO) test -race -count=1 -run 'Restart|KillRestart|KillAt|Recover|WAL|Replay|Torn|GroupCommit|Corruption|RoundTrip' \
 		./internal/wal/ ./internal/sim/ ./internal/live/ ./internal/fault/ ./internal/modelcheck/ ./internal/storage/
 
-verify: build test chaos chaos-nodes chaos-restart bench-smoke bench-storage-smoke epoch-smoke
+verify: build test chaos chaos-nodes chaos-restart bench-smoke bench-storage-smoke perfbench-smoke epoch-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./internal/live/... ./internal/obs/... ./internal/core/sched/ ./internal/core/wtpg/ ./internal/experiments/ ./internal/event/ ./internal/wal/ ./internal/storage/
 	$(GO) test -race -count=1 -run 'Stripe|ZeroCopy|FlusherLag|PoolConcurrent' ./internal/storage/

@@ -28,7 +28,7 @@ func (a *asl) Admit(t *txn.T, now event.Time) Outcome {
 	// transaction's strongest declared mode.
 	for _, p := range t.Partitions() {
 		mode, _ := t.LockMode(p)
-		if len(a.locks.Blocked(t.ID, p, mode)) > 0 {
+		if a.locks.IsBlocked(t.ID, p, mode) {
 			return Outcome{Decision: Delayed, CPU: a.costs.DDTime}
 		}
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"batsched/internal/core/wtpg"
 	"batsched/internal/lock"
@@ -18,19 +19,18 @@ type wtpgBase struct {
 	graph *wtpg.Graph
 	live  map[txn.ID]*txn.T
 
-	// Scratch buffers for the request hot path (the control node is
-	// single-threaded, so plain reuse is safe).
+	// Scratch buffers for the admission and request hot paths (the
+	// control node is single-threaded, so plain reuse is safe).
 	targetBuf []txn.ID
-	seenBuf   map[txn.ID]bool
+	holderBuf []txn.ID
 }
 
 func newWTPGBase(costs Costs) wtpgBase {
 	return wtpgBase{
-		costs:   costs,
-		locks:   lock.NewTable(),
-		graph:   wtpg.New(),
-		live:    make(map[txn.ID]*txn.T),
-		seenBuf: make(map[txn.ID]bool),
+		costs: costs,
+		locks: lock.NewTable(),
+		graph: wtpg.New(),
+		live:  make(map[txn.ID]*txn.T),
 	}
 }
 
@@ -59,7 +59,8 @@ func (b *wtpgBase) register(t *txn.T) error {
 	}
 	// Immediate resolutions against current holders.
 	for _, s := range t.Steps {
-		for _, h := range b.locks.Blocked(t.ID, s.Part, s.Mode) {
+		b.holderBuf = b.locks.AppendBlocked(b.holderBuf[:0], t.ID, s.Part, s.Mode)
+		for _, h := range b.holderBuf {
 			if !b.graph.Has(h) {
 				continue // holder not live (should not happen: strict locks)
 			}
@@ -82,17 +83,15 @@ func (b *wtpgBase) unregister(t *txn.T) {
 
 // impliedTargets returns the transactions that granting step of t would
 // order after t: every transaction with a pending conflicting declaration
-// on the step's partition (deduplicated, in declaration order). The
-// returned slice is reused across calls; callers must not retain it.
+// on the step's partition (deduplicated, in declaration order). A
+// partition carries few declarations, so the dedupe is a linear scan of
+// the result. The returned slice is reused across calls; callers must not
+// retain it.
 func (b *wtpgBase) impliedTargets(t *txn.T, step int) []txn.ID {
 	s := t.Steps[step]
 	b.targetBuf = b.targetBuf[:0]
-	for id := range b.seenBuf {
-		delete(b.seenBuf, id)
-	}
 	b.locks.EachConflictingDecl(t.ID, s.Part, s.Mode, func(d lock.Decl) {
-		if !b.seenBuf[d.Txn] {
-			b.seenBuf[d.Txn] = true
+		if !slices.Contains(b.targetBuf, d.Txn) {
 			b.targetBuf = append(b.targetBuf, d.Txn)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 
 	"batsched/internal/core/estimate"
 	"batsched/internal/event"
+	"batsched/internal/lock"
 	"batsched/internal/txn"
 )
 
@@ -31,6 +32,7 @@ type kwtpg struct {
 	cacheGen   uint64
 	cacheAt    event.Time
 	cacheDirty bool
+	declBuf    []lock.Decl // C(q) scratch for Request
 }
 
 type reqKey struct {
@@ -113,7 +115,8 @@ func (s *kwtpg) Request(t *txn.T, step int, now event.Time) Outcome {
 	}
 	// Step 3 of CC2: grant only if E(q) is minimal over C(q).
 	st := t.Steps[step]
-	for _, d := range s.locks.ConflictingDecls(t.ID, st.Part, st.Mode) {
+	s.declBuf = s.locks.AppendConflictingDecls(s.declBuf[:0], t.ID, st.Part, st.Mode)
+	for _, d := range s.declBuf {
 		other, ok := s.live[d.Txn]
 		if !ok {
 			continue

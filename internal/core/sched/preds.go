@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"batsched/internal/txn"
 )
@@ -51,12 +51,6 @@ func PredecessorsUnion(ss []Scheduler, id txn.ID) []txn.ID {
 	if len(out) == 0 {
 		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:1]
-	for _, v := range out[1:] {
-		if v != dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
+	slices.Sort(out)
+	return slices.Compact(out)
 }

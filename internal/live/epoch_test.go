@@ -60,6 +60,56 @@ func TestRunBatchCommitsEverything(t *testing.T) {
 	}
 }
 
+// TestProbeEpochOrderInversion runs one-partition batches of writers
+// whose costs come in every order through a single epoch worker, so
+// the batch's admission order can invert the arrival order: RunBatch
+// must still return, with no error for any member and every member
+// committed.
+func TestProbeEpochOrderInversion(t *testing.T) {
+	shapes := map[string][]float64{
+		"big-small":     {50, 1},
+		"small-big":     {1, 50},
+		"mid-big-small": {10, 50, 1},
+		"asc":           {1, 10, 50},
+		"desc":          {50, 10, 1},
+		"equal":         {5, 5, 5},
+		"vee":           {50, 1, 50},
+	}
+	for name, costs := range shapes {
+		t.Run(name, func(t *testing.T) {
+			ctl := epochCtl(WithEpochWorkers(1))
+			defer ctl.Close()
+			ts := make([]*txn.T, len(costs))
+			for i, c := range costs {
+				ts[i] = txn.New(txn.ID(i+1), []txn.Step{w(0, c)})
+			}
+			done := make(chan []error, 1)
+			go func() {
+				done <- ctl.RunBatch(context.Background(), ts, func(tx *txn.T, step int, p Progress) error {
+					p(tx.Steps[step].Cost)
+					return nil
+				})
+			}()
+			select {
+			case errs := <-done:
+				if len(errs) != len(ts) {
+					t.Fatalf("%d results for %d transactions", len(errs), len(ts))
+				}
+				for i, err := range errs {
+					if err != nil {
+						t.Errorf("txn %d: %v", i+1, err)
+					}
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("RunBatch hung")
+			}
+			if st := ctl.Stats(); st.Committed != uint64(len(ts)) {
+				t.Errorf("committed %d, want %d", st.Committed, len(ts))
+			}
+		})
+	}
+}
+
 // TestSubmitWindowBatches drives the Submit/window pipeline: a burst of
 // submissions inside one window must flush as one epoch (or very few),
 // all commit, and the flush must reach the observer.
